@@ -23,11 +23,10 @@ from typing import Callable, Mapping
 import numpy as np
 
 from ..core.codegen.kernels import compile_group
-from ..core.fusion.kinds import FusionConfig, FusionKind
+from ..core.fusion.kinds import FusionConfig
 from ..core.fusion.planner import plan_fusion
 from ..core.symbolic import ConstraintLevel, analyze_shapes
 from ..device.compilecost import compile_cost_us
-from ..device.cost import kernel_time_us
 from ..device.counters import RunStats
 from ..device.profiles import DeviceProfile
 from ..ir.graph import Graph
@@ -35,7 +34,8 @@ from ..numerics.resolve import bind_inputs, resolve_all_dims
 from ..passes import (AlgebraicSimplify, CommonSubexpressionElimination,
                       ConstantFold, DeadCodeElimination, LowerComposites,
                       PassManager, PlaceShapeComputations)
-from ..runtime.caches import ShapeSpecializationCache, shape_signature
+from ..runtime.caches import shape_signature
+from ..runtime.engine import charge_kernel
 from .base import Executor
 
 __all__ = ["BaselineSpec", "SimulatedBaseline", "pow2_bucket"]
@@ -117,20 +117,19 @@ class SimulatedBaseline(Executor):
             node: node.attrs["value"].astype(node.dtype.to_numpy(),
                                              copy=False)
             for node in working.nodes if node.op == "constant"}
-        self.cache = ShapeSpecializationCache()
-        self._compiled_once = False
+        #: compiled keys (signatures, buckets, or ``()`` for "once").
+        self._compiled: set = set()
 
     # -- serving ----------------------------------------------------------
 
     def run(self, inputs: Mapping[str, np.ndarray]
             ) -> tuple[list, RunStats]:
-        spec = self.spec
         stats = RunStats(cache_hit=True)
         dims = bind_inputs(self.working.params, inputs)
         resolve_all_dims(self.working.nodes, dims)
 
         self._charge_compilation(inputs, self._cost_dims(dims), stats)
-        stats.host_time_us += spec.guard_overhead_us
+        stats.host_time_us += self.spec.guard_overhead_us
 
         env: dict[int, np.ndarray] = {}
         for param in self.working.params:
@@ -144,16 +143,34 @@ class SimulatedBaseline(Executor):
             outputs = kernel.execute(args, dims)
             for node, value in zip(kernel.output_nodes, outputs):
                 env[node.id] = value
-            # dims may have grown (reshape-solved symbols); derive the
-            # padded cost bindings from the *current* dims each time.
-            self._charge_kernel(kernel, dims, self._cost_dims(dims), stats)
 
-        if not spec.eager_dispatch:
-            stats.host_time_us += spec.dispatch_us * stats.kernels_launched
         results = [env[out.id] for out in self.working.outputs]
-        return results, stats
+        return results, self.charge(dims, stats)
 
     # -- cost policy ---------------------------------------------------------
+
+    def charge(self, dims: dict, stats: RunStats | None = None) -> RunStats:
+        """Price one call's launches at ``dims`` into ``stats`` (fresh if
+        None) — no data, compile or guard charge.  :meth:`run` charges
+        here after executing; the serving fallback prices through the
+        PyTorch spec here."""
+        spec = self.spec
+        if stats is None:
+            stats = RunStats(cache_hit=True)
+        cost_dims = self._cost_dims(dims)
+        eager_us = spec.dispatch_us if spec.eager_dispatch else None
+        for kernel in self.kernels:
+            schedule = kernel.select_schedule(cost_dims)
+            cost = charge_kernel(kernel, cost_dims, stats, self.device,
+                                 spec.base_efficiency, schedule,
+                                 dispatch_us=eager_us)
+            if cost is not None and spec.bucket is not None:
+                real = kernel.cost_spec(dims, schedule, spec.base_efficiency)
+                stats.padding_waste_bytes += max(
+                    0, cost.bytes_total - real.bytes_total)
+        if not spec.eager_dispatch:
+            stats.host_time_us += spec.dispatch_us * stats.kernels_launched
+        return stats
 
     def _cost_dims(self, dims: dict) -> dict:
         """The dim bindings the system is *charged* for (padded if bucketed)."""
@@ -167,50 +184,17 @@ class SimulatedBaseline(Executor):
         spec = self.spec
         if spec.compile_policy == "none" or spec.compile_grade is None:
             return
-        cost = compile_cost_us(len(self.working.nodes), spec.compile_grade)
         if spec.compile_policy == "once":
-            if not self._compiled_once:
-                self._compiled_once = True
-                stats.compile_time_us += cost
-                stats.cache_hit = False
-            return
-        if spec.compile_policy == "per_signature":
+            key = ()
+        elif spec.compile_policy == "per_signature":
             key = shape_signature(inputs)
         elif spec.compile_policy == "per_bucket":
             key = tuple(sorted(cost_dims.items()))
         else:
             raise ValueError(
                 f"unknown compile policy {spec.compile_policy!r}")
-        __, hit = self.cache.get_or_build(key, lambda: True)
-        if not hit:
-            stats.compile_time_us += cost
+        if key not in self._compiled:
+            self._compiled.add(key)
+            stats.compile_time_us += compile_cost_us(
+                len(self.working.nodes), spec.compile_grade)
             stats.cache_hit = False
-
-    def _charge_kernel(self, kernel, dims: dict, cost_dims: dict,
-                       stats: RunStats) -> None:
-        spec = self.spec
-        kind = kernel.kind
-        if kind is FusionKind.METADATA:
-            stats.host_time_us += 0.1 * len(kernel.members)
-            return
-        if kind is FusionKind.HOST:
-            stats.host_time_us += (self.device.host_op_us
-                                   * len(kernel.members))
-            return
-        schedule = kernel.select_schedule(cost_dims)
-        cost = kernel.cost_spec(cost_dims, schedule, spec.base_efficiency)
-        device_us = kernel_time_us(cost, self.device)
-        if spec.eager_dispatch:
-            # Python dispatcher issues ops one at a time; the device idles
-            # whenever dispatch is slower than the kernel.
-            stats.device_time_us += max(device_us, spec.dispatch_us)
-        else:
-            stats.device_time_us += device_us
-        stats.kernels_launched += 1 + cost.extra_launches
-        stats.bytes_read += cost.bytes_read
-        stats.bytes_written += cost.bytes_written
-        stats.flops += cost.flops
-        if self.spec.bucket is not None:
-            real = kernel.cost_spec(dims, schedule, spec.base_efficiency)
-            stats.padding_waste_bytes += max(
-                0, cost.bytes_total - real.bytes_total)

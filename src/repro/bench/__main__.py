@@ -2,11 +2,15 @@
 
 Run any paper experiment directly::
 
-    python -m repro.bench e1 --device T4
-    python -m repro.bench e3 e8
+    python -m repro.bench e3 --device T4
+    python -m repro.bench e1 e2
     python -m repro.bench all
 
-Tables print to stdout and persist under ``benchmarks/results/``.
+Tables print to stdout and persist under ``benchmarks/results/`` (or
+``$REPRO_RESULTS_DIR``).  E1 and E2 are the A10 and T4 halves of the
+headline figure: they run with their ``benchmarks/bench_e*.py`` fixtures'
+arguments and regenerate the checked-in artifacts, so ``--device`` does
+not apply to them.
 """
 
 from __future__ import annotations
@@ -34,10 +38,9 @@ from . import (e1_end_to_end, e3_fusion_ablation, e4_shape_constraints,
 
 #: experiment id -> (runner(device) -> payload, formatter, result name)
 EXPERIMENTS = {
-    "e1": (lambda device: e1_end_to_end(device),
-           format_end_to_end, "end_to_end"),
-    "e2": (lambda device: e1_end_to_end("T4" if device == "A10" else
-                                        device),
+    "e1": (lambda device: e1_end_to_end("A10", num_queries=20, seed=0),
+           format_end_to_end, "end_to_end_a10"),
+    "e2": (lambda device: e1_end_to_end("T4", num_queries=20, seed=0),
            format_end_to_end, "end_to_end_t4"),
     "e3": (lambda device: e3_fusion_ablation(device),
            format_fusion_ablation, "fusion_ablation"),

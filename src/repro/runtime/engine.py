@@ -16,6 +16,10 @@ way the paper splits codegen:
   frozen dims (gather slots, run the kernel, scatter slots, drop dead
   values) and charges the precomputed cost.
 
+One loop executes the instructions and one charges them; every entry
+point composes the two.  Each launch is priced by :func:`charge_kernel`,
+the cost rule shared with the serving fallback and the baselines.
+
 Simulated statistics and numeric outputs are bit-identical to
 :class:`LegacyExecutionEngine`, the per-call interpreter-style engine
 kept for the E15 host-overhead comparison and the equivalence suite.
@@ -34,15 +38,15 @@ from ..device.cost import KernelSpec, kernel_time_us
 from ..device.counters import RunStats
 from ..device.profiles import DeviceProfile
 from ..numerics.resolve import bind_inputs, resolve_all_dims
-from ..obs.tracer import resolve_tracer
+from ..obs.tracer import NULL_TRACER, resolve_tracer
 from .executable import Executable
-from .hostprog import HostProgram, lower_executable
+from .hostprog import HostProgram, host_program_of
 from .launchplan import (BatchLaunchPlan, LaunchPlan, LaunchPlanCache,
                          format_signature)
 from .memory import scale_batched_memory
 
 __all__ = ["EngineOptions", "ExecutionEngine", "LegacyExecutionEngine",
-           "charge_batched_kernel", "charge_kernel"]
+           "charge_kernel"]
 
 
 @dataclass
@@ -66,94 +70,70 @@ class EngineOptions:
 
 
 def charge_kernel(kernel, dims: dict, stats: RunStats,
-                  forced: Schedule | None, options: EngineOptions,
-                  device: DeviceProfile, selector=None) -> None:
-    """Account one kernel launch into ``stats`` (simulated cost).
+                  device: DeviceProfile, efficiency: float,
+                  schedule: Schedule | None = None, *, batch: int = 1,
+                  dispatch_us: float | None = None,
+                  host_placement: bool = True) -> KernelSpec | None:
+    """Account one kernel launch into ``stats``; returns its KernelSpec.
 
-    Shared by the legacy per-call engine and the launch-plan recorder so
-    the two cost paths cannot drift.  ``selector`` is the schedule
-    selection seam (None = dispatch-stub heuristics); the chosen variant
-    of every schedulable kernel is surfaced in
-    ``stats.details["schedules"]`` so tests and benches can assert on
-    picks.
+    The one launch-pricing rule of the engines, the serving fallback and
+    the simulated baselines.  Callers keep schedule policy and pass their
+    own terms: ``schedule`` is the chosen variant; ``batch`` stacked
+    members scale bytes/flops/parallelism but pay one launch (host work
+    is per launch); ``dispatch_us`` is an eager dispatch gap each launch
+    serialises behind (None = pipelined, charged by the caller);
+    ``host_placement=False`` is the E10 ablation.  Host-side work
+    returns None.
     """
     kind = kernel.kind
     if kind is FusionKind.METADATA:
         # reshape-only: a host-side view adjustment.
         stats.host_time_us += 0.1 * len(kernel.members)
-        return
+        return None
+    if kind is FusionKind.HOST and host_placement:
+        stats.host_time_us += device.host_op_us * len(kernel.members)
+        return None
+    spec = kernel.cost_spec(dims, schedule, efficiency)
+    if batch != 1:
+        spec = replace(
+            spec,
+            bytes_read=spec.bytes_read * batch,
+            bytes_written=spec.bytes_written * batch,
+            flops=spec.flops * batch,
+            parallel_elements=spec.parallel_elements * batch)
+    device_us = kernel_time_us(spec, device)
+    if dispatch_us is not None:
+        device_us = max(device_us, dispatch_us)
+    stats.device_time_us += device_us
     if kind is FusionKind.HOST:
-        if options.host_placement_enabled:
-            stats.host_time_us += device.host_op_us * len(kernel.members)
-            return
-        # Ablation: shape computation launched as device kernels.
-        spec = kernel.cost_spec(dims, None, options.base_efficiency)
-        stats.device_time_us += kernel_time_us(spec, device)
+        # Ablation: one shape-computation launch, no traffic accounted.
         stats.kernels_launched += 1
-        return
-    schedule = kernel.resolve_schedule(dims, forced, selector)
-    if schedule is not None:
-        stats.details.setdefault("schedules", {})[kernel.name] = \
-            schedule.name
-    spec = kernel.cost_spec(dims, schedule, options.base_efficiency)
-    stats.device_time_us += kernel_time_us(spec, device)
-    stats.kernels_launched += 1 + spec.extra_launches
-    stats.bytes_read += spec.bytes_read
-    stats.bytes_written += spec.bytes_written
-    stats.flops += spec.flops
-
-
-def _batch_spec(spec: KernelSpec, batch: int) -> KernelSpec:
-    """Scale one member's cost spec to a batched launch of ``batch``."""
-    if batch == 1:
         return spec
-    return replace(
-        spec,
-        bytes_read=spec.bytes_read * batch,
-        bytes_written=spec.bytes_written * batch,
-        flops=spec.flops * batch,
-        parallel_elements=spec.parallel_elements * batch)
-
-
-def charge_batched_kernel(kernel, dims: dict, batch: int, stats: RunStats,
-                          forced: Schedule | None, options: EngineOptions,
-                          device: DeviceProfile, selector=None) -> None:
-    """Account one *batched* kernel launch (``batch`` stacked members).
-
-    The batch rides a leading dim through a single launch: bytes, flops
-    and parallel elements scale with ``batch`` while the launch overhead
-    is paid once — the whole point of batching on a launch-bound device.
-    Metadata and host-placed work is per launch, not per member (a
-    batched reshape is still one view fix), so it is charged once.
-    """
-    kind = kernel.kind
-    if kind is FusionKind.METADATA:
-        stats.host_time_us += 0.1 * len(kernel.members)
-        return
-    if kind is FusionKind.HOST:
-        if options.host_placement_enabled:
-            stats.host_time_us += device.host_op_us * len(kernel.members)
-            return
-        spec = _batch_spec(
-            kernel.cost_spec(dims, None, options.base_efficiency), batch)
-        stats.device_time_us += kernel_time_us(spec, device)
-        stats.kernels_launched += 1
-        return
-    schedule = kernel.resolve_schedule(dims, forced, selector)
-    if schedule is not None:
-        stats.details.setdefault("schedules", {})[kernel.name] = \
-            schedule.name
-    spec = _batch_spec(
-        kernel.cost_spec(dims, schedule, options.base_efficiency), batch)
-    stats.device_time_us += kernel_time_us(spec, device)
     stats.kernels_launched += 1 + spec.extra_launches
     stats.bytes_read += spec.bytes_read
     stats.bytes_written += spec.bytes_written
     stats.flops += spec.flops
+    return spec
+
+
+def _pick_schedule(kernel, dims: dict, stats: RunStats,
+                   forced: Schedule | None, selector) -> Schedule | None:
+    """The engines' schedule policy (``forced`` = E9 ablation, ``selector``
+    None = heuristics); picks land in ``stats.details["schedules"]``."""
+    if kernel.kind in (FusionKind.METADATA, FusionKind.HOST):
+        return None  # host-side work never picks a device schedule
+    schedule = kernel.resolve_schedule(dims, forced, selector)
+    if schedule is not None:
+        stats.details.setdefault("schedules", {})[kernel.name] = \
+            schedule.name
+    return schedule
 
 
 class ExecutionEngine:
     """Executes a compiled program through its host program.
+
+    Every entry point composes two loops over the instructions:
+    :meth:`_execute` runs them on data, :meth:`_charge` prices them.
 
     ``plan_cache``/``plan_tag`` let several engines share one
     :class:`LaunchPlanCache` (the adaptive specialiser runs a generic and
@@ -162,8 +142,8 @@ class ExecutionEngine:
 
     ``tracer`` (None = off) wraps every call in an ``engine:run`` span
     holding an ``engine:record`` or ``engine:replay`` child with
-    per-kernel launch spans.  The untraced replay loop is kept entirely
-    branch-free: ``run`` dispatches once on ``tracer.enabled``.
+    per-kernel launch spans.  ``run`` dispatches once on
+    ``tracer.enabled``; the untraced loop tests one local per kernel.
     """
 
     def __init__(self, executable: Executable, device: DeviceProfile,
@@ -174,13 +154,7 @@ class ExecutionEngine:
         self.device = device
         self.options = options or EngineOptions()
         self.tracer = resolve_tracer(tracer)
-        program = getattr(executable, "host_program", None)
-        if program is None:
-            # Hand-assembled executables (tests, serde round-trips) are
-            # lowered on first use; the pipeline lowers at compile time.
-            program = lower_executable(executable)
-            executable.host_program = program
-        self.host_program: HostProgram = program
+        self.host_program: HostProgram = host_program_of(executable)
         self.plans = plan_cache if plan_cache is not None else \
             LaunchPlanCache(self.options.plan_capacity,
                             tracer=tracer)
@@ -215,7 +189,11 @@ class ExecutionEngine:
 
     def _run_traced(self, inputs: Mapping[str, np.ndarray],
                     signature: tuple | None) -> tuple[list, RunStats]:
-        """The traced twin of :meth:`run`; same order, same charges."""
+        """The traced twin of :meth:`run`; same order, same charges.
+
+        Replay kernel spans carry no ``launches``: replay charges the
+        plan's frozen total, counted on the ``engine:replay`` span.
+        """
         tracer = self.tracer
         program = self.host_program
         with tracer.span("engine:run", tag=self._plan_tag) as span:
@@ -232,7 +210,7 @@ class ExecutionEngine:
                 span.set(path="record", cache_hit=False)
                 return outputs, stats
             with tracer.span("engine:replay") as rep:
-                outputs, stats = self._replay_traced(plan, inputs)
+                outputs, stats = self._replay(plan, inputs, tracer)
                 rep.set(kernels_launched=stats.kernels_launched)
             span.set(path="replay", cache_hit=True)
             return outputs, stats
@@ -249,10 +227,11 @@ class ExecutionEngine:
         This is the background-compilation entry point of the serving
         runtime (:mod:`repro.serving`): all the shape-generic work of a
         first call — binding, derived-symbol resolution, schedule
-        selection, cost-recipe and memory-plan evaluation — runs here in
-        the exact order :meth:`_record` charges it, so the frozen plan is
-        bit-identical to one recorded by a data-carrying first call, and
-        a later :meth:`run` of the signature replays it as a warm hit.
+        selection, cost-recipe and memory-plan evaluation — runs through
+        the same :meth:`_charge` loop :meth:`_record` uses, so the frozen
+        plan is bit-identical to one recorded by a data-carrying first
+        call, and a later :meth:`run` of the signature replays it as a
+        warm hit.
 
         ``selector`` freezes schedule picks chosen by a non-default
         policy (the autotuner's winners) into the plan; ``overwrite``
@@ -268,22 +247,8 @@ class ExecutionEngine:
                 return existing
         tracer = self.tracer
         with tracer.span("engine:prepare", tag=self._plan_tag) as span:
-            options = self.options
-            dims = bind_inputs(program.params, inputs)
-            program.resolution.run(dims)
-            stats = RunStats(cache_hit=True)
-            forced: Schedule | None = None
-            if options.fixed_schedule is not None:
-                forced = schedule_named(options.fixed_schedule)
-            device = self.device
-            for instr in program.instructions:
-                charge_kernel(instr.kernel, dims, stats, forced, options,
-                              device, selector)
-            stats.host_time_us += (options.dispatch_us_per_kernel
-                                   * stats.kernels_launched)
-            buffer_plan = self.executable.buffer_plan
-            if buffer_plan is not None:
-                stats.details["memory"] = buffer_plan.evaluate(dims)
+            dims = program.bind(inputs)
+            stats = self._charge(dims, selector)
             plan = LaunchPlan.freeze(signature, dims, stats,
                                      tuned=selector is not None)
             plan.memory_class = self._memory_class
@@ -325,23 +290,8 @@ class ExecutionEngine:
         tracer = self.tracer
         with tracer.span("engine:prepare_batched",
                          tag=self._plan_tag) as span:
-            options = self.options
-            program = self.host_program
-            dims = program.bind_signature(signature)
-            stats = RunStats(cache_hit=True)
-            forced: Schedule | None = None
-            if options.fixed_schedule is not None:
-                forced = schedule_named(options.fixed_schedule)
-            device = self.device
-            for instr in program.instructions:
-                charge_batched_kernel(instr.kernel, dims, batch_size,
-                                      stats, forced, options, device)
-            stats.host_time_us += (options.dispatch_us_per_kernel
-                                   * stats.kernels_launched)
-            buffer_plan = self.executable.buffer_plan
-            if buffer_plan is not None:
-                stats.details["memory"] = scale_batched_memory(
-                    buffer_plan.evaluate(dims), batch_size)
+            dims = self.host_program.bind_signature(signature)
+            stats = self._charge(dims, batch=batch_size)
             plan = BatchLaunchPlan.freeze_batched(
                 key[1], dims, stats, batch_size, signature)
             if self._memory_class is not None:
@@ -368,122 +318,88 @@ class ExecutionEngine:
         plan = self.plans.get(self._batched_key(signature, batch_size))
         if plan is None:
             plan = self.prepare_batched(signature, batch_size)
-        program = self.host_program
-        results = []
-        for inputs in inputs_list:
-            dims = program.bind(inputs)
-            env = program.env_template.copy()
-            for slot, name in program.param_slots:
-                env[slot] = np.ascontiguousarray(inputs[name])
-            for instr in program.instructions:
-                outputs = instr.kernel.execute(
-                    [env[s] for s in instr.in_slots], dims)
-                for slot, value in zip(instr.out_slots, outputs):
-                    env[slot] = value
-                for slot in instr.release:
-                    env[slot] = None
-            results.append([env[slot] for slot in program.output_slots])
+        results = [self._execute(inputs, self.host_program.bind(inputs))
+                   for inputs in inputs_list]
         return results, plan.make_stats()
 
-    # -- cold path: execute while freezing the plan ------------------------
+    # -- the two instruction loops -------------------------------------------
 
     def _record(self, inputs: Mapping[str, np.ndarray],
                 signature: tuple) -> tuple:
         """First call of a signature: run, charge, and freeze.
 
-        Mirrors the legacy engine statement for statement — same binding,
-        same execution order, same charge order — so outputs and stats
-        are bit-identical; the only addition is that the results of the
-        shape-generic work are captured for replay.
+        Bit-identical to the legacy engine's interleaved charge: every
+        derived symbol is solved before the first kernel runs.
         """
-        program = self.host_program
-        options = self.options
-        dims = bind_inputs(program.params, inputs)
-        program.resolution.run(dims)
-        stats = RunStats(cache_hit=True)
-
-        env = program.env_template.copy()
-        for slot, name in program.param_slots:
-            env[slot] = np.ascontiguousarray(inputs[name])
-
-        forced: Schedule | None = None
-        if options.fixed_schedule is not None:
-            forced = schedule_named(options.fixed_schedule)
-        device = self.device
-        tracer = self.tracer
-        traced = tracer.enabled
-        for instr in program.instructions:
-            kernel = instr.kernel
-            if traced:
-                span = tracer.begin(f"kernel:{kernel.name}",
-                                    slots=list(instr.out_slots))
-            outputs = kernel.execute([env[s] for s in instr.in_slots],
-                                     dims)
-            for slot, value in zip(instr.out_slots, outputs):
-                env[slot] = value
-            before = stats.kernels_launched
-            charge_kernel(kernel, dims, stats, forced, options, device)
-            if traced:
-                tracer.end(span,
-                           launches=stats.kernels_launched - before)
-            for slot in instr.release:
-                env[slot] = None
-
-        stats.host_time_us += (options.dispatch_us_per_kernel
-                               * stats.kernels_launched)
-        buffer_plan = self.executable.buffer_plan
-        if buffer_plan is not None:
-            stats.details["memory"] = buffer_plan.evaluate(dims)
-        results = [env[slot] for slot in program.output_slots]
+        dims = self.host_program.bind(inputs)
+        ledger = [] if self.tracer.enabled else None
+        results = self._execute(inputs, dims, self.tracer, ledger)
+        stats = self._charge(dims, ledger=ledger)
         plan = LaunchPlan.freeze(signature, dims, stats)
         plan.memory_class = self._memory_class
         return results, stats, plan
 
-    # -- warm path: replay against the frozen plan -------------------------
+    def _replay(self, plan: LaunchPlan, inputs: Mapping[str, np.ndarray],
+                tracer=NULL_TRACER) -> tuple:
+        """Cache hit: run at the frozen dims, charge the frozen cost."""
+        return self._execute(inputs, plan.dims, tracer), plan.make_stats()
 
-    def _replay(self, plan: LaunchPlan,
-                inputs: Mapping[str, np.ndarray]) -> tuple:
-        """Cache hit: gather slots, run kernels, charge frozen cost."""
-        program = self.host_program
-        dims = plan.dims
-        env = program.env_template.copy()
-        for slot, name in program.param_slots:
-            env[slot] = np.ascontiguousarray(inputs[name])
-        for instr in program.instructions:
-            outputs = instr.kernel.execute(
-                [env[s] for s in instr.in_slots], dims)
-            for slot, value in zip(instr.out_slots, outputs):
-                env[slot] = value
-            for slot in instr.release:
-                env[slot] = None
-        results = [env[slot] for slot in program.output_slots]
-        return results, plan.make_stats()
+    def _execute(self, inputs: Mapping[str, np.ndarray], dims: dict,
+                 tracer=NULL_TRACER, ledger: list | None = None) -> list:
+        """Run every instruction on ``inputs`` at ``dims``; the outputs.
 
-    def _replay_traced(self, plan: LaunchPlan,
-                       inputs: Mapping[str, np.ndarray]) -> tuple:
-        """Traced twin of :meth:`_replay` (which stays branch-free).
-
-        Replay charges the plan's frozen aggregate cost rather than
-        re-charging kernel by kernel, so the per-kernel spans here carry
-        no ``launches`` attribute — the plan-level count lives on the
-        enclosing ``engine:replay`` span.
+        An enabled ``tracer`` gets one ``kernel:<name>`` span per kernel;
+        a ``ledger`` (record path) collects them, tagged with their output
+        slots, for :meth:`_charge` to add each kernel's launch count.
         """
-        tracer = self.tracer
         program = self.host_program
-        dims = plan.dims
+        traced = tracer.enabled
         env = program.env_template.copy()
         for slot, name in program.param_slots:
             env[slot] = np.ascontiguousarray(inputs[name])
         for instr in program.instructions:
-            with tracer.span(f"kernel:{instr.kernel.name}"):
-                outputs = instr.kernel.execute(
-                    [env[s] for s in instr.in_slots], dims)
+            kernel = instr.kernel
+            args = [env[s] for s in instr.in_slots]
+            if traced:
+                with tracer.span(f"kernel:{kernel.name}") as span:
+                    outputs = kernel.execute(args, dims)
+                if ledger is not None:
+                    ledger.append(span.set(slots=list(instr.out_slots)))
+            else:
+                outputs = kernel.execute(args, dims)
             for slot, value in zip(instr.out_slots, outputs):
                 env[slot] = value
             for slot in instr.release:
                 env[slot] = None
-        results = [env[slot] for slot in program.output_slots]
-        return results, plan.make_stats()
+        return [env[slot] for slot in program.output_slots]
+
+    def _charge(self, dims: dict, selector=None, batch: int = 1,
+                ledger: list | None = None) -> RunStats:
+        """Price every instruction at ``dims`` (``batch`` stacked members
+        per launch): the cost a plan freezes."""
+        options = self.options
+        device = self.device
+        forced = (schedule_named(options.fixed_schedule)
+                  if options.fixed_schedule is not None else None)
+        stats = RunStats(cache_hit=True)
+        for i, instr in enumerate(self.host_program.instructions):
+            kernel = instr.kernel
+            schedule = _pick_schedule(kernel, dims, stats, forced, selector)
+            before = stats.kernels_launched
+            charge_kernel(kernel, dims, stats, device,
+                          options.base_efficiency, schedule, batch=batch,
+                          host_placement=options.host_placement_enabled)
+            if ledger is not None:
+                ledger[i].set(launches=stats.kernels_launched - before)
+        stats.host_time_us += (options.dispatch_us_per_kernel
+                               * stats.kernels_launched)
+        buffer_plan = self.executable.buffer_plan
+        if buffer_plan is not None:
+            memory = buffer_plan.evaluate(dims)
+            if batch != 1:
+                memory = scale_batched_memory(memory, batch)
+            stats.details["memory"] = memory
+        return stats
 
 
 class LegacyExecutionEngine:
@@ -529,10 +445,8 @@ class LegacyExecutionEngine:
         for node, value in executable.constants.items():
             env[node.id] = value
 
-        forced: Schedule | None = None
-        if options.fixed_schedule is not None:
-            forced = schedule_named(options.fixed_schedule)
-
+        forced = (schedule_named(options.fixed_schedule)
+                  if options.fixed_schedule is not None else None)
         traced = tracer.enabled
         for kernel in executable.kernels:
             if traced:
@@ -542,8 +456,10 @@ class LegacyExecutionEngine:
             for node, value in zip(kernel.output_nodes, outputs):
                 env[node.id] = value
             before = stats.kernels_launched
-            charge_kernel(kernel, dims, stats, forced, options,
-                          self.device)
+            schedule = _pick_schedule(kernel, dims, stats, forced, None)
+            charge_kernel(kernel, dims, stats, self.device,
+                          options.base_efficiency, schedule,
+                          host_placement=options.host_placement_enabled)
             if traced:
                 tracer.end(span,
                            launches=stats.kernels_launched - before)

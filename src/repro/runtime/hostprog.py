@@ -41,7 +41,7 @@ from ..numerics.resolve import (DimResolutionPlan, bind_inputs,
 from .caches import make_signature_fn
 
 __all__ = ["HostInstruction", "HostProgram", "lower_program",
-           "lower_executable"]
+           "lower_executable", "host_program_of"]
 
 
 @dataclass(frozen=True)
@@ -248,3 +248,13 @@ def lower_executable(executable) -> HostProgram:
     return lower_program(executable.graph, executable.kernels,
                          executable.constants,
                          buffer_plan=executable.buffer_plan)
+
+
+def host_program_of(executable) -> HostProgram:
+    """The executable's host program; hand-assembled executables (tests,
+    serde round-trips) are lowered and cached on first use."""
+    program = getattr(executable, "host_program", None)
+    if program is None:
+        program = lower_executable(executable)
+        executable.host_program = program
+    return program

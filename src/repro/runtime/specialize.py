@@ -20,7 +20,7 @@ are served at the specialised efficiency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
@@ -70,12 +70,8 @@ class AdaptiveEngine:
         self._generic = ExecutionEngine(executable, device, base,
                                         plan_cache=self.plans,
                                         plan_tag="generic")
-        specialized = EngineOptions(
-            base_efficiency=self.options.specialized_efficiency,
-            dispatch_us_per_kernel=base.dispatch_us_per_kernel,
-            fixed_schedule=base.fixed_schedule,
-            host_placement_enabled=base.host_placement_enabled,
-            plan_capacity=base.plan_capacity)
+        specialized = replace(
+            base, base_efficiency=self.options.specialized_efficiency)
         self._specialized = ExecutionEngine(executable, device,
                                             specialized,
                                             plan_cache=self.plans,

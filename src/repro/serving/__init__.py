@@ -39,7 +39,7 @@ from .compilepool import (BackgroundCompilePool, CompileState,
                           TransientCompileError)
 from .engine import (PathRouter, Request, Response, ResponseStatus,
                      ServingEngine, ServingOptions, Ticket)
-from .fallback import FallbackOptions, InterpreterFallback
+from .fallback import InterpreterFallback
 from .fleet import (AutoscalerOptions, FleetEngine, FleetOptions,
                     FleetTicket, ReplicaState)
 from .router import (AdmissionController, LeastOutstandingPolicy,
@@ -60,7 +60,6 @@ __all__ = [
     "ClusterSim",
     "CompileState",
     "EventHandle",
-    "FallbackOptions",
     "FleetEngine",
     "FleetOptions",
     "FleetTicket",

@@ -50,7 +50,7 @@ from ..tuning import ScheduleTuner, TuningOptions
 from .compilepool import (BackgroundCompilePool, CompileState,
                           PermanentCompileError, SignatureCompileCost,
                           TransientCompileError)
-from .fallback import FallbackOptions, InterpreterFallback
+from .fallback import InterpreterFallback
 from .scheduler import VirtualScheduler
 
 __all__ = ["PathRouter", "Request", "Response", "ResponseStatus",
@@ -86,7 +86,6 @@ class ServingOptions:
     background_compile: bool = True
     compile_cost: SignatureCompileCost = field(
         default_factory=SignatureCompileCost)
-    fallback: FallbackOptions = field(default_factory=FallbackOptions)
     engine: EngineOptions = field(default_factory=EngineOptions)
     #: lint gate applied when registering a model (OFF = skip).
     lint_level: LintLevel = LintLevel.OFF
@@ -421,8 +420,7 @@ class ServingEngine:
         engine = ExecutionEngine(executable, self.device,
                                  self.options.engine,
                                  tracer=self._raw_tracer)
-        fallback = InterpreterFallback(executable, self.device,
-                                       self.options.fallback)
+        fallback = InterpreterFallback(executable, self.device)
         duration = self.options.compile_cost.duration_us(
             len(executable.kernels))
         tuning_duration = 0.0

@@ -11,8 +11,8 @@ make that a *serving* path rather than a debugging crutch:
   codegen's materialisation decisions; a request cannot observe which
   path served it (the property suite and the serving fuzz oracle enforce
   exact equality against a direct :class:`ExecutionEngine` run).
-- **an eager cost model.**  The simulated latency of a fallback call is
-  charged the way the eager baselines charge PyTorch-style execution:
+- **the eager baseline's cost.**  The simulated latency of a fallback
+  call is exactly what the PyTorch baseline charges for the same graph:
   one un-fused kernel per op, each launch serialized behind a host
   dispatch (``max(kernel_time, dispatch)``).  That keeps E16 honest —
   the fallback is *slower* than the compiled path by construction, and
@@ -21,91 +21,43 @@ make that a *serving* path rather than a debugging crutch:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from ..core.fusion import FusionConfig, plan_fusion
-from ..core.fusion.kinds import FusionKind
-from ..core.codegen import compile_group
-from ..core.symbolic import ConstraintLevel, analyze_shapes
-from ..device.cost import kernel_time_us
+from ..baselines.executor import SimulatedBaseline
+from ..baselines.systems import PYTORCH
 from ..device.counters import RunStats
 from ..device.profiles import DeviceProfile
 from ..interp import Interpreter
-from ..numerics.resolve import bind_inputs, resolve_all_dims
 from ..runtime.executable import Executable
+from ..runtime.hostprog import host_program_of
 
-__all__ = ["FallbackOptions", "InterpreterFallback"]
-
-
-@dataclass
-class FallbackOptions:
-    """Cost knobs of the eager fallback (mirrors the PyTorch baseline)."""
-
-    #: per-op kernel quality of un-fused eager kernels.
-    base_efficiency: float = 0.90
-    #: host cost of dispatching one eager kernel; each launch is
-    #: serialized behind it (framework overhead dominates small ops).
-    dispatch_us: float = 16.8
+__all__ = ["InterpreterFallback"]
 
 
 class InterpreterFallback:
     """Serves an executable's requests through the interpreter.
 
-    Construction is cheap relative to a compile: it builds one singleton
-    kernel per optimized-graph op purely for *costing* (the un-fused
-    plan never executes data; :meth:`run` computes outputs through the
-    interpreter and charges latency from the singleton cost recipes).
+    Construction is cheap relative to a compile: besides the interpreter
+    it builds the PyTorch baseline over the optimized graph purely for
+    *costing* (its un-fused kernels never execute data; :meth:`run`
+    computes outputs through the interpreter and charges latency through
+    :meth:`SimulatedBaseline.charge`).
     """
 
-    def __init__(self, executable: Executable, device: DeviceProfile,
-                 options: FallbackOptions | None = None) -> None:
+    def __init__(self, executable: Executable,
+                 device: DeviceProfile) -> None:
         self.executable = executable
         self.device = device
-        self.options = options or FallbackOptions()
-        graph = executable.graph
-        self._interp = Interpreter(graph, check_shapes=False,
+        self._program = host_program_of(executable)
+        self._interp = Interpreter(executable.graph, check_shapes=False,
                                    kernel_layout=True)
-        analysis = analyze_shapes(graph, ConstraintLevel.NONE)
-        plan = plan_fusion(graph, analysis, FusionConfig.none())
-        users = graph.users()
-        self._cost_kernels = [
-            compile_group(group, users, graph.outputs)
-            for group in plan.ordered_groups()]
+        self._eager = SimulatedBaseline(executable.graph, device, PYTORCH)
 
     def run(self, inputs: Mapping[str, np.ndarray]
             ) -> tuple[list, RunStats]:
         """Interpret one request; returns (outputs, eager-cost stats)."""
-        dims = bind_inputs(self.executable.params, inputs)
-        resolve_all_dims(self.executable.graph.nodes, dims)
+        dims = self._program.bind(inputs)
         outputs = self._interp.run(inputs, bindings=dims)
-        return outputs, self._charge(dims)
-
-    def _charge(self, dims: dict) -> RunStats:
-        """Eager-dispatch cost of the un-fused op stream."""
-        options = self.options
-        device = self.device
-        stats = RunStats(cache_hit=True)
-        for kernel in self._cost_kernels:
-            kind = kernel.kind
-            if kind is FusionKind.METADATA:
-                stats.host_time_us += 0.1 * len(kernel.members)
-                continue
-            if kind is FusionKind.HOST:
-                stats.host_time_us += (device.host_op_us
-                                       * len(kernel.members))
-                continue
-            schedule = kernel.resolve_schedule(dims, None)
-            spec = kernel.cost_spec(dims, schedule,
-                                    options.base_efficiency)
-            device_us = kernel_time_us(spec, device)
-            # Eager serialization: the device idles while the host
-            # dispatches, so a short kernel costs a full dispatch gap.
-            stats.device_time_us += max(device_us, options.dispatch_us)
-            stats.kernels_launched += 1 + spec.extra_launches
-            stats.bytes_read += spec.bytes_read
-            stats.bytes_written += spec.bytes_written
-            stats.flops += spec.flops
-        return stats
+        return outputs, self._eager.charge(dims)

@@ -1,5 +1,7 @@
 """Harness internals: bench model configs, trace builders, CLI."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -52,3 +54,14 @@ def test_cli_rejects_unknown(tmp_path, monkeypatch):
     from repro.bench.__main__ import main
     with pytest.raises(SystemExit):
         main(["e99"])
+
+
+def test_cli_artifact_names_are_the_checked_in_ones():
+    """Every CLI experiment writes under a name ``benchmarks/results/``
+    already holds, so a CLI run regenerates (never forks) an artifact."""
+    from repro.bench.__main__ import EXPERIMENTS
+    results = Path(__file__).resolve().parents[2] / "benchmarks" / "results"
+    missing = [f"{exp_id}_{name}" for exp_id, (_, _, name)
+               in EXPERIMENTS.items()
+               if not (results / f"{exp_id}_{name}.json").exists()]
+    assert missing == []

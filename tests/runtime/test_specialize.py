@@ -1,11 +1,14 @@
 """Adaptive shape specialisation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.core import compile_graph
 from repro.device import A10
-from repro.runtime import AdaptiveEngine, SpecializationOptions
+from repro.runtime import (AdaptiveEngine, EngineOptions,
+                           SpecializationOptions)
 
 from ..conftest import toy_mlp_graph, toy_mlp_inputs
 
@@ -128,3 +131,14 @@ def test_numerics_unchanged_by_specialization(executable, rng):
     assert np.allclose(first, second)
     (reference,) = evaluate(executable.graph, inputs)
     assert np.allclose(second, reference, atol=1e-5)
+
+
+def test_specialized_engine_keeps_every_base_option(executable):
+    """Only the efficiency differs between the two variants; every other
+    engine knob the caller set carries over to the specialised engine."""
+    base = EngineOptions(dispatch_us_per_kernel=1.5,
+                         fixed_schedule="two_pass",
+                         host_placement_enabled=False, plan_capacity=7)
+    engine = AdaptiveEngine(executable, A10, engine_options=base)
+    assert engine._specialized.options == replace(
+        base, base_efficiency=engine.options.specialized_efficiency)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.baselines import PYTORCH, SimulatedBaseline
 from repro.core import compile_graph
 from repro.device import A10
 from repro.models import MODEL_BUILDERS
@@ -52,3 +53,18 @@ def test_cost_is_deterministic(toy_exe, rng):
     _, first = fallback.run(inputs)
     _, second = fallback.run(inputs)
     assert first == second
+
+
+@pytest.mark.parametrize("point", ["low", "high"])
+@pytest.mark.parametrize("name", sorted(MODEL_BUILDERS))
+def test_cost_equals_pytorch_baseline(name, point, rng):
+    """The fallback is priced exactly as the PyTorch baseline prices the
+    optimized graph: every RunStats field, details included."""
+    model = small(name)
+    exe = compile_graph(model.graph)
+    values = {axis: lo if point == "low" else min(hi, lo * 2 + 8)
+              for axis, (lo, hi) in model.axes.items()}
+    inputs = model.make_inputs(rng, **values)
+    _, fallback_stats = InterpreterFallback(exe, A10).run(inputs)
+    _, pytorch_stats = SimulatedBaseline(exe.graph, A10, PYTORCH).run(inputs)
+    assert fallback_stats == pytorch_stats
