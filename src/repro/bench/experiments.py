@@ -475,6 +475,7 @@ def _softmax_micro():
 
 
 def _geomean(values) -> float:
+    """Geometric mean of the positive ``values``; 1.0 when there are none."""
     values = [v for v in values if v > 0]
     if not values:
         return 1.0
@@ -1113,10 +1114,6 @@ def _time_runners(runners: dict, repeats: int, calls: int,
                 run()
             best[name] = min(best[name], span.duration_us)
     return {name: value / calls for name, value in best.items()}
-
-
-def _geomean(values: list) -> float:
-    return float(np.exp(np.mean(np.log(values)))) if values else 0.0
 
 
 def e15_host_overhead(device_name: str = "A10",

@@ -14,7 +14,10 @@ hand-built cases:
 - :mod:`oracle` — runs one (graph, binding) case through the optimizing
   pipeline + runtime engine and through all seven simulated baselines,
   comparing numerics against the reference interpreter with dtype-aware
-  tolerances, and asserting pipeline invariants along the way.
+  tolerances, and asserting pipeline invariants along the way; optional
+  legs (``oracle.LEGS``: serving, batching, tuning, fleet, memplan, obs)
+  replay the case through further subsystems, each under its own
+  contract.
 - :mod:`minimizer` — delta-debugging shrinker that reduces a failing graph
   to a minimal repro while a predicate keeps holding.
 - :mod:`faults` — deliberate fault injection (corrupted kernels, corrupted

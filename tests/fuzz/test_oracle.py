@@ -126,6 +126,39 @@ def test_corrupted_interpreter_diverges_from_reference():
     assert any(d is not None for d in diffs)
 
 
+def test_ok_response_missing_an_output_is_a_mismatch(monkeypatch):
+    """An OK serving response that drops an output must not pass: the
+    bit-identity check compares output counts before bytes."""
+    from repro.serving import InterpreterFallback
+
+    real_run = InterpreterFallback.run
+    truncated = []
+
+    def drop_last_output(self, inputs):
+        outputs, stats = real_run(self, inputs)
+        truncated.append(len(outputs))
+        return outputs[:-1], stats
+
+    monkeypatch.setattr(InterpreterFallback, "run", drop_last_output)
+    b = GraphBuilder("two_outputs")
+    s = b.sym("s", hint=8)
+    x = b.parameter("x", (s, 4), f32)
+    b.outputs(b.exp(x), b.tanh(x))
+    oracle = DifferentialOracle(legs=("serving", "batching", "fleet"))
+    result = oracle.check_case(b.graph, {"s": 5}, input_seed=0)
+    assert truncated, "no request took the fallback path"
+    mismatched = {f.executor for f in result.failures
+                  if f.kind == "mismatch"}
+    assert mismatched == {"SERVING", "BATCHING", "FLEET"}
+
+
+def test_legs_run_in_table_order_and_unknown_names_raise():
+    oracle = DifferentialOracle(legs=("obs", "serving"))
+    assert oracle.legs == ("serving", "obs")
+    with pytest.raises(ValueError, match="warp"):
+        DifferentialOracle(legs=("warp",))
+
+
 def test_invariant_checks_run_when_enabled():
     oracle = DifferentialOracle(check_invariants=True)
     graph = _simple_graph()

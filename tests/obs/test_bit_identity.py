@@ -98,7 +98,7 @@ def test_corpus_replays_through_the_obs_oracle(path):
     """Every regression case passes the fuzzer's trace oracle: traced
     vs untraced bit-identity plus the trace invariants."""
     graph, bindings, meta = load_case(path)
-    oracle = DifferentialOracle(obs=True)
+    oracle = DifferentialOracle(legs=("obs",))
     result = oracle.check_case(graph, bindings,
                                input_seed=int(meta.get("input_seed", 0)))
     assert result.ok, "; ".join(str(f) for f in result.failures)

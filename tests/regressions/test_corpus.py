@@ -612,7 +612,7 @@ def test_memplan_exhibit_passes_the_memplan_oracle(path):
     from repro.fuzz.oracle import MEMPLAN_EXECUTOR
 
     graph, bindings, meta = load_case(path)
-    oracle = DifferentialOracle(memplan=True)
+    oracle = DifferentialOracle(legs=("memplan",))
     result = oracle.check_case(graph, bindings,
                                input_seed=int(meta.get("input_seed", 0)))
     assert MEMPLAN_EXECUTOR in result.executors_checked

@@ -8,8 +8,12 @@ the full acceptance campaign (``--seed 0 --iters 200``) starts with.
 import pytest
 
 from repro.fuzz import DifferentialOracle, run_campaign
+from repro.fuzz.oracle import LEGS
 
 pytestmark = pytest.mark.fuzz
+
+#: campaign length per leg; fleet and obs are the slowest legs.
+_LEG_ITERS = {"fleet": 10, "obs": 10}
 
 
 def test_bounded_campaign_seed0_is_clean(tmp_path):
@@ -22,60 +26,12 @@ def test_bounded_campaign_seed0_is_clean(tmp_path):
     assert len(report.ops_covered) >= 15
 
 
-def test_bounded_serving_campaign_seed0_is_clean(tmp_path):
-    """The serving oracle rides the same campaign: every case replayed
-    through the runtime (seeded scheduler, injected compile faults) with
-    bit-identical OK responses demanded throughout."""
-    report = run_campaign(seed=0, iters=15, out_dir=tmp_path,
-                          oracle=DifferentialOracle(serving=True))
+@pytest.mark.parametrize("leg", list(LEGS))
+def test_bounded_leg_campaign_seed0_is_clean(tmp_path, leg):
+    """Each oracle leg rides the same campaign and holds its contract
+    (the leg's check docstring) on every case."""
+    report = run_campaign(seed=0, iters=_LEG_ITERS.get(leg, 15),
+                          out_dir=tmp_path,
+                          oracle=DifferentialOracle(legs=(leg,)))
     assert report.ok, report.summary()
-    assert "SERVING" in report.executors
-
-
-def test_bounded_batching_campaign_seed0_is_clean(tmp_path):
-    """The batching oracle rides the same campaign: every case replayed
-    through the dynamic-batching engine (cold burst explodes to solo
-    fallbacks, warm burst serves from one batched launch, a lone late
-    request flushes solo) with compile faults injected against the
-    batched plan key — every response bit-identical and OK, permanent
-    faults quarantining the batched key to solo service."""
-    report = run_campaign(seed=0, iters=15, out_dir=tmp_path,
-                          oracle=DifferentialOracle(batching=True))
-    assert report.ok, report.summary()
-    assert "BATCHING" in report.executors
-
-
-def test_bounded_fleet_campaign_seed0_is_clean(tmp_path):
-    """The fleet oracle rides the same campaign: every case driven
-    through a multi-replica fleet (policy and replica count varied by
-    seed, per-replica compile/tuner fault schedules, one replica drained
-    mid-stream) — no request lost or double-served across the
-    scale-down, quarantine pinned to the faulted replica, every response
-    OK and bit-identical to a direct engine run."""
-    report = run_campaign(seed=0, iters=10, out_dir=tmp_path,
-                          oracle=DifferentialOracle(fleet=True))
-    assert report.ok, report.summary()
-    assert "FLEET" in report.executors
-
-
-def test_bounded_obs_campaign_seed0_is_clean(tmp_path):
-    """The trace oracle rides the same campaign: every case recompiled
-    and re-run under a CapturingTracer with bit-identical outputs/stats
-    demanded against the untraced engine, plus the trace invariants
-    (balance, containment, pass coverage, kernel accounting)."""
-    report = run_campaign(seed=0, iters=10, out_dir=tmp_path,
-                          oracle=DifferentialOracle(obs=True))
-    assert report.ok, report.summary()
-    assert "OBS" in report.executors
-
-def test_bounded_memplan_campaign_seed0_is_clean(tmp_path):
-    """The symbolic-memory oracle rides the same campaign: every case's
-    class-wide plan must price the binding exactly like the concrete
-    plan, stay inside the class peak interval, dominate the ground-truth
-    measured peak, carry a clean aliasing proof that the independent
-    L602 analyzer agrees with, and survive a peak-aware-reorder
-    recompile bit-identically."""
-    report = run_campaign(seed=0, iters=15, out_dir=tmp_path,
-                          oracle=DifferentialOracle(memplan=True))
-    assert report.ok, report.summary()
-    assert "MEMPLAN" in report.executors
+    assert leg.upper() in report.executors
