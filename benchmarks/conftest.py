@@ -1,11 +1,4 @@
-"""Shared helpers for the benchmark suite.
-
-Every ``bench_e*.py`` file regenerates one paper artifact: a module-scoped
-fixture runs the (simulated) experiment, prints the paper-style table and
-persists it under ``benchmarks/results/``; the ``test_bench_*`` functions
-then time a representative real code path with pytest-benchmark so the
-suite doubles as a performance regression harness for the compiler itself.
-"""
+"""Shared fixtures for the wall-clock timings in ``bench_hot_paths.py``."""
 
 from __future__ import annotations
 

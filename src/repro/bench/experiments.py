@@ -1,17 +1,15 @@
-"""The experiment harness: one function per paper table/figure (E1-E10).
+"""The experiment harness: one function per paper table/figure (E1-E18).
 
 Each function runs the full (simulated) measurement and returns a payload
 dict with the raw numbers plus a ``format_*`` companion producing the
-paper-style text table.  The ``benchmarks/bench_e*.py`` files are thin
-pytest wrappers around these.
-
-Scale note: query counts default to values that keep the numpy substrate
-fast; set ``REPRO_BENCH_QUERIES`` to raise them for smoother averages.
+paper-style text table.  A function's defaults are the arguments behind
+its checked-in artifact in ``benchmarks/results/``; the table in
+``repro.bench.__main__`` names each run's quick arguments, artifact and
+acceptance check (``python -m repro.bench``).
 """
 
 from __future__ import annotations
 
-import os
 import time
 from statistics import mean
 
@@ -32,7 +30,7 @@ from ..workloads import make_trace
 from .reporting import format_table
 
 __all__ = [
-    "BENCH_MODELS", "bench_queries",
+    "BENCH_MODELS",
     "e1_end_to_end", "format_end_to_end",
     "e3_fusion_ablation", "format_fusion_ablation",
     "e4_shape_constraints", "format_shape_constraints",
@@ -66,10 +64,6 @@ BENCH_MODELS = {
 }
 
 
-def bench_queries(default: int) -> int:
-    return int(os.environ.get("REPRO_BENCH_QUERIES", default))
-
-
 def _bench_model(name: str):
     return build_model(name, **BENCH_MODELS.get(name, {}))
 
@@ -79,7 +73,7 @@ def _bench_model(name: str):
 # ---------------------------------------------------------------------------
 
 def e1_end_to_end(device_name: str = "A10", models: list | None = None,
-                  num_queries: int | None = None,
+                  num_queries: int = 20,
                   distribution: str = "zipf", seed: int = 0) -> dict:
     """Mean steady-state speedup of BladeDISC vs every baseline, per model.
 
@@ -89,8 +83,6 @@ def e1_end_to_end(device_name: str = "A10", models: list | None = None,
     """
     device = device_named(device_name)
     model_names = models or list(BENCH_MODELS)
-    num_queries = num_queries if num_queries is not None \
-        else bench_queries(30)
     systems = baseline_names()
     per_model: dict[str, dict] = {}
     disc_latency: dict[str, float] = {}
@@ -160,12 +152,10 @@ def format_end_to_end(result: dict) -> str:
 
 def e3_fusion_ablation(device_name: str = "A10",
                        models: tuple = ("bert", "s2t"),
-                       num_queries: int | None = None,
+                       num_queries: int = 10,
                        seed: int = 0) -> dict:
     """Kernels / bytes / latency as fusion kinds are enabled one by one."""
     device = device_named(device_name)
-    num_queries = num_queries if num_queries is not None \
-        else bench_queries(15)
     variants = [
         ("no-fusion", FusionConfig.none()),
         ("kLoop", FusionConfig.loop_only()),
@@ -210,12 +200,10 @@ def format_fusion_ablation(result: dict) -> str:
 
 def e4_shape_constraints(device_name: str = "A10",
                          models: tuple = ("bert", "gpt2", "s2t"),
-                         num_queries: int | None = None,
+                         num_queries: int = 10,
                          seed: int = 0) -> dict:
     """What the symbolic constraints buy: fusion size and latency by level."""
     device = device_named(device_name)
-    num_queries = num_queries if num_queries is not None \
-        else bench_queries(15)
     rows = []
     for model_name in models:
         model = _bench_model(model_name)
@@ -267,8 +255,8 @@ def _k_distinct_trace(model, num_queries: int, k: int, seed: int = 0):
 
 
 def e5_codegen_strategies(device_name: str = "A10", model_name: str = "bert",
-                          num_queries: int | None = None,
-                          shape_counts: tuple = (1, 4, 16, 64),
+                          num_queries: int = 32,
+                          shape_counts: tuple = (1, 4, 16),
                           seed: int = 0) -> dict:
     """Compile-once vs recompile-per-shape vs bucket-and-pad.
 
@@ -276,8 +264,6 @@ def e5_codegen_strategies(device_name: str = "A10", model_name: str = "bert",
     as the number of distinct shapes in the trace grows.
     """
     device = device_named(device_name)
-    num_queries = num_queries if num_queries is not None \
-        else bench_queries(64)
     model = _bench_model(model_name)
     strategies = {
         "combined (BladeDISC)": lambda: DiscExecutor(model.graph, device),
@@ -372,15 +358,13 @@ def format_compile_overhead(result: dict) -> str:
 # ---------------------------------------------------------------------------
 
 def e7_shape_diversity(device_name: str = "A10", model_name: str = "bert",
-                       num_queries: int | None = None,
-                       shape_counts: tuple = (1, 2, 4, 8, 16, 32),
+                       num_queries: int = 32,
+                       shape_counts: tuple = (1, 2, 4, 8, 16),
                        systems: tuple = ("BladeDISC", "XLA", "TVM",
                                          "TensorRT", "TorchInductor"),
                        seed: int = 0) -> dict:
     """Amortised per-query latency (compile included) vs shape diversity."""
     device = device_named(device_name)
-    num_queries = num_queries if num_queries is not None \
-        else bench_queries(48)
     model = _bench_model(model_name)
     series: dict[str, list] = {system: [] for system in systems}
     for k in shape_counts:
@@ -484,7 +468,7 @@ def _geomean(values) -> float:
 
 def e9_schedule_selection(device_name: str = "A10", seed: int = 0,
                           models: list | None = None,
-                          num_queries: int | None = None,
+                          num_queries: int = 12,
                           shape_counts: tuple = (1, 4, 16)) -> dict:
     """Schedule selection and autotuning, three measurements in one:
 
@@ -526,8 +510,6 @@ def e9_schedule_selection(device_name: str = "A10", seed: int = 0,
 
     # -- autotuned zoo ------------------------------------------------------
     model_names = models or list(BENCH_MODELS)
-    num_queries = num_queries if num_queries is not None \
-        else bench_queries(12)
     options = TuningOptions()
     tracer = CapturingTracer()
     worst_selector = WorstCaseSelector(device)
@@ -727,12 +709,10 @@ def _length_feature_model(hidden: int = 256, num_shape_ops: int = 8):
 
 
 def e10_placement_overhead(device_name: str = "A10",
-                           num_queries: int | None = None,
+                           num_queries: int = 10,
                            seed: int = 0) -> dict:
     """Host-placement benefit + symbolic-analysis compile overhead."""
     device = device_named(device_name)
-    num_queries = num_queries if num_queries is not None \
-        else bench_queries(20)
     graph = _length_feature_model()
     executable = DiscCompiler(CompileOptions()).compile(graph)
     rng = np.random.default_rng(seed)
@@ -890,7 +870,7 @@ def format_memory_planning(result: dict) -> str:
 
 def e12_adaptive_specialization(device_name: str = "A10",
                                 model_name: str = "bert",
-                                num_queries: int | None = None,
+                                num_queries: int = 40,
                                 seed: int = 0) -> dict:
     """Generic-only vs adaptive specialisation vs per-shape JIT on a
     skewed trace.
@@ -905,8 +885,6 @@ def e12_adaptive_specialization(device_name: str = "A10",
     from ..runtime.specialize import AdaptiveEngine, SpecializationOptions
 
     device = device_named(device_name)
-    num_queries = num_queries if num_queries is not None \
-        else bench_queries(60)
     model = _bench_model(model_name)
     # Latency-oriented serving: batch pinned to 1, Zipf-skewed lengths —
     # the regime where a handful of short lengths dominate and
@@ -973,7 +951,7 @@ def format_adaptive_specialization(result: dict) -> str:
 
 def e14_serving_tail_latency(device_name: str = "A10",
                              model_name: str = "bert",
-                             num_queries: int | None = None,
+                             num_queries: int = 40,
                              arrival_rate_qps: float = 600.0,
                              systems: tuple = ("BladeDISC", "PyTorch",
                                                "ONNXRuntime", "XLA"),
@@ -988,8 +966,6 @@ def e14_serving_tail_latency(device_name: str = "A10",
     from .serving import simulate_serving
 
     device = device_named(device_name)
-    num_queries = num_queries if num_queries is not None \
-        else bench_queries(60)
     model = _bench_model(model_name)
     trace = make_trace(model, num_queries, "zipf", seed=seed,
                        fixed_axes={"batch": 1})
@@ -1118,7 +1094,7 @@ def _time_runners(runners: dict, repeats: int, calls: int,
 
 def e15_host_overhead(device_name: str = "A10",
                       models: list | None = None,
-                      repeats: int | None = None,
+                      repeats: int = 5,
                       shapes_per_model: int = 3,
                       seed: int = 0) -> dict:
     """Real host wall-clock: legacy interpreter vs compiled host program.
@@ -1144,7 +1120,6 @@ def e15_host_overhead(device_name: str = "A10",
 
     device = device_named(device_name)
     model_names = models or list(E15_MODELS)
-    repeats = repeats if repeats is not None else bench_queries(5)
     rng = np.random.default_rng(seed)
 
     rows = []
@@ -1247,7 +1222,7 @@ def format_host_overhead(result: dict) -> str:
 
 def e16_async_serving(device_name: str = "A10",
                       model_name: str = "bert",
-                      num_queries: int | None = None,
+                      num_queries: int = 150,
                       arrival_rate_qps: float = 600.0,
                       compile_workers: int = 2,
                       seed: int = 0) -> dict:
@@ -1274,8 +1249,6 @@ def e16_async_serving(device_name: str = "A10",
                            SignatureCompileCost, VirtualScheduler)
 
     device = device_named(device_name)
-    num_queries = num_queries if num_queries is not None \
-        else bench_queries(150)
     model = _bench_model(model_name)
     trace = make_trace(model, num_queries, "zipf", seed=seed,
                        fixed_axes={"batch": 1})
@@ -1371,7 +1344,7 @@ def format_async_serving(result: dict) -> str:
 
 def e17_dynamic_batching(device_name: str = "A10",
                          model_name: str = "bert",
-                         num_queries: int | None = None,
+                         num_queries: int = 400,
                          rates_qps: list | None = None,
                          max_batch_size: int = 8,
                          max_queue_delay_us: float = 2_000.0,
@@ -1391,9 +1364,9 @@ def e17_dynamic_batching(device_name: str = "A10",
     ceilings into headroom.
 
     Time is virtual, so every number is an exact property of the
-    schedule; ``benchmarks/bench_e17_dynamic_batching.py`` gates on the
-    2 000 qps column (>= 2x batched throughput at a p99 within 1.5x of
-    the checked-in E16 async-serving baseline).
+    schedule; the E17 check in ``repro.bench.__main__`` gates on the
+    2 000 qps column (>= 2x batched throughput at a p99 within the
+    pinned bound of 1.5x the E16 async-serving baseline).
     """
     from ..core.pipeline import compile_graph
     from ..serving import (BatchingOptions, BatchingServingEngine,
@@ -1401,8 +1374,6 @@ def e17_dynamic_batching(device_name: str = "A10",
                            VirtualScheduler)
 
     device = device_named(device_name)
-    num_queries = num_queries if num_queries is not None \
-        else bench_queries(400)
     rates_qps = rates_qps or [600.0, 1_000.0, 2_000.0, 4_000.0, 10_000.0]
     # Serving-scale depth: 12 layers puts the solo saturation point
     # (~500 qps on A10) well below the 2 000 qps gate rate, so the
@@ -1540,7 +1511,7 @@ def format_dynamic_batching(result: dict) -> str:
 
 def e18_fleet_routing(device_name: str = "A10",
                       model_name: str = "bert",
-                      num_queries: int | None = None,
+                      num_queries: int = 600,
                       arrival_rate_qps: float = 2_000.0,
                       replica_counts: tuple = (1, 2, 4, 8),
                       plan_capacity: int = 64,
@@ -1570,17 +1541,15 @@ def e18_fleet_routing(device_name: str = "A10",
     sweep isolates pure placement; the spill valve is exercised by the
     unit suite.  Every OK response from every configuration is checked
     bit-identical to a direct ``ExecutionEngine`` run — routing may
-    move work, never change it.  Time is virtual;
-    ``benchmarks/bench_e18_fleet_routing.py`` gates on the 4-replica
-    column (affinity p99 >= 1.5x below round-robin, zero mismatches).
+    move work, never change it.  Time is virtual; the E18 check in
+    ``repro.bench.__main__`` gates on the 4-replica column (affinity
+    p99 >= 1.5x below round-robin, zero mismatches).
     """
     from ..core.pipeline import compile_graph
     from ..serving import (FleetEngine, FleetOptions, ServingOptions,
                            SignatureCompileCost, VirtualScheduler)
 
     device = device_named(device_name)
-    num_queries = num_queries if num_queries is not None \
-        else bench_queries(600)
     gate_replicas = 4
     # Serving-scale depth (as E17): the fused fast path holds ~500
     # qps/replica, the eager fallback ~80 — the gate rate sits between

@@ -1,8 +1,9 @@
 """Experiment result formatting and persistence.
 
-Every benchmark both prints its paper-style table and writes it (text +
-JSON) under ``benchmarks/results/`` so the artifacts survive pytest output
-capture and can be diffed across runs.
+Every experiment both prints its paper-style table and writes it (text +
+JSON) under ``benchmarks/results/`` so the artifacts can be diffed across
+runs.  Quick runs write to its ``quick/`` subdirectory instead, so they
+never overwrite a checked-in full-run artifact.
 """
 
 from __future__ import annotations
@@ -12,16 +13,19 @@ import os
 from pathlib import Path
 from typing import Sequence
 
-__all__ = ["format_table", "save_results", "results_dir", "print_and_save"]
+__all__ = ["format_table", "save_results", "results_dir"]
 
 
-def results_dir() -> Path:
-    """Where experiment artifacts land (override with REPRO_RESULTS_DIR)."""
+def results_dir(quick: bool = False) -> Path:
+    """Where experiment artifacts land (override with REPRO_RESULTS_DIR);
+    ``quick`` runs land in its ``quick/`` subdirectory."""
     root = os.environ.get("REPRO_RESULTS_DIR")
     if root:
         path = Path(root)
     else:
         path = Path(__file__).resolve().parents[3] / "benchmarks" / "results"
+    if quick:
+        path = path / "quick"
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -55,9 +59,10 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence],
     return "\n".join(lines)
 
 
-def save_results(name: str, payload: dict, text: str = "") -> Path:
+def save_results(name: str, payload: dict, text: str = "",
+                 quick: bool = False) -> Path:
     """Persist one experiment's results; returns the JSON path."""
-    directory = results_dir()
+    directory = results_dir(quick)
     json_path = directory / f"{name}.json"
     with open(json_path, "w") as f:
         json.dump(payload, f, indent=2, default=str)
@@ -65,9 +70,3 @@ def save_results(name: str, payload: dict, text: str = "") -> Path:
         with open(directory / f"{name}.txt", "w") as f:
             f.write(text + "\n")
     return json_path
-
-
-def print_and_save(name: str, payload: dict, text: str) -> None:
-    print()
-    print(text)
-    save_results(name, payload, text)
